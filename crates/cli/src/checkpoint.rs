@@ -189,10 +189,9 @@ pub fn resume(args: &[String], usage: &str) -> Result<(), String> {
     if doc.mechanism.is_subst() {
         let value = doc
             .subston
-            .as_ref()
             .ok_or("substitutable snapshot is missing the subston state")?;
         let state: SubstOnState =
-            serde_json::from_value(value.clone()).map_err(|e| format!("bad subston state: {e}"))?;
+            serde_json::from_value(value).map_err(|e| format!("bad subston state: {e}"))?;
         let outcome = finish_subst(state).map_err(|e| e.to_string())?;
         if as_json {
             println!(
@@ -207,9 +206,9 @@ pub fn resume(args: &[String], usage: &str) -> Result<(), String> {
             return Err("additive snapshot holds no states".to_owned());
         }
         let mut outcomes = Vec::with_capacity(doc.addon.len());
-        for value in &doc.addon {
-            let state: AddOnState = serde_json::from_value(value.clone())
-                .map_err(|e| format!("bad addon state: {e}"))?;
+        for value in doc.addon {
+            let state: AddOnState =
+                serde_json::from_value(value).map_err(|e| format!("bad addon state: {e}"))?;
             outcomes.push(finish_add(state).map_err(|e| e.to_string())?);
         }
         if as_json {
@@ -244,8 +243,8 @@ fn resume_shard(
             ));
         }
         applied_seq = ckpt.applied_seq;
-        for (game, doc) in &ckpt.games {
-            registry.insert_restored(*game, doc)?;
+        for (game, doc) in ckpt.games {
+            registry.insert_restored(game, doc)?;
         }
     }
     let mut replayed = 0u64;
@@ -258,11 +257,11 @@ fn resume_shard(
                 scanned.torn_bytes
             );
         }
-        for record in &scanned.records {
+        for record in scanned.records {
             if record.seq <= applied_seq {
                 continue;
             }
-            let _ = registry.handle(record.id, record.op.clone());
+            let _ = registry.handle(record.id, record.op);
             replayed += 1;
         }
     }
@@ -276,18 +275,19 @@ fn resume_shard(
     );
     let games = registry.checkpoint_games()?;
     let mut rendered = Vec::new();
-    for (game, doc) in &games {
+    for (game, doc) in games {
+        let mechanism = doc.mechanism_name();
         match osp_server::decode_snapshot(doc)? {
             GameState::Add(state) => {
                 let outcome = finish_add(state).map_err(|e| e.to_string())?;
                 if as_json {
                     rendered.push(serde_json::json!({
-                        "game": *game,
-                        "mechanism": doc.mechanism_name(),
+                        "game": game,
+                        "mechanism": mechanism,
                         "outcome": serde_json::to_value(&outcome).map_err(|e| e.to_string())?,
                     }));
                 } else {
-                    println!("game {game} ({}):", doc.mechanism_name());
+                    println!("game {game} ({mechanism}):");
                     render_add(0, &outcome);
                 }
             }
@@ -295,12 +295,12 @@ fn resume_shard(
                 let outcome = finish_subst(state).map_err(|e| e.to_string())?;
                 if as_json {
                     rendered.push(serde_json::json!({
-                        "game": *game,
-                        "mechanism": doc.mechanism_name(),
+                        "game": game,
+                        "mechanism": mechanism,
                         "outcome": serde_json::to_value(&outcome).map_err(|e| e.to_string())?,
                     }));
                 } else {
-                    println!("game {game} ({}):", doc.mechanism_name());
+                    println!("game {game} ({mechanism}):");
                     render_subst(&outcome);
                 }
             }
@@ -387,7 +387,8 @@ mod tests {
         for at in 1..=compiled.horizon + 1 {
             let doc = build_snapshot(&compiled.game, compiled.horizon, at, TieBreak::LowestOptId)
                 .unwrap();
-            let state: AddOnState = serde_json::from_value(doc.addon[0].clone()).unwrap();
+            let [value] = <[_; 1]>::try_from(doc.addon).unwrap();
+            let state: AddOnState = serde_json::from_value(value).unwrap();
             assert_eq!(finish_add(state).unwrap(), direct, "checkpoint at {at}");
         }
     }
@@ -397,7 +398,7 @@ mod tests {
         let compiled = input::parse(input::template(input::GameKind::SubstOn)).unwrap();
         let doc =
             build_snapshot(&compiled.game, compiled.horizon, 2, TieBreak::LowestOptId).unwrap();
-        let state: SubstOnState = serde_json::from_value(doc.subston.clone().unwrap()).unwrap();
+        let state: SubstOnState = serde_json::from_value(doc.subston.unwrap()).unwrap();
         let outcome = finish_subst(state).unwrap();
         assert!(!outcome.assignments.is_empty());
     }

@@ -457,18 +457,13 @@ impl Registry {
     /// wire `restore` operation this is infallible on id collisions by
     /// construction (checkpoints hold each game once) — a collision is
     /// reported as an error rather than a wire reply.
-    pub fn insert_restored(&mut self, game: u64, doc: &SnapshotDoc) -> Result<(), String> {
+    pub fn insert_restored(&mut self, game: u64, doc: SnapshotDoc) -> Result<(), String> {
         if self.games.contains_key(&game) {
             return Err(format!("checkpoint restores game {game} twice"));
         }
+        let mechanism = doc.mechanism;
         let state = decode_snapshot(doc)?;
-        self.games.insert(
-            game,
-            GameEntry {
-                mechanism: doc.mechanism,
-                state,
-            },
-        );
+        self.games.insert(game, GameEntry { mechanism, state });
         Ok(())
     }
 
@@ -476,15 +471,10 @@ impl Registry {
         if self.games.contains_key(&game.0) {
             return Response::error(id, "game_exists", format!("{game} already exists"));
         }
-        match decode_snapshot(&doc) {
+        let mechanism = doc.mechanism;
+        match decode_snapshot(doc) {
             Ok(state) => {
-                self.games.insert(
-                    game.0,
-                    GameEntry {
-                        mechanism: doc.mechanism,
-                        state,
-                    },
-                );
+                self.games.insert(game.0, GameEntry { mechanism, state });
                 Response {
                     id,
                     reply: Reply::Restored {
@@ -525,7 +515,11 @@ fn entry_doc(entry: &GameEntry) -> Result<SnapshotDoc, String> {
 /// Servers host one `AddOnState` per additive game, so multi-opt
 /// additive checkpoints (several `addon` entries) are rejected here —
 /// `osp resume` handles those.
-pub fn decode_snapshot(doc: &SnapshotDoc) -> Result<GameState, String> {
+///
+/// An owned document is consumed: its state tree moves into the
+/// decoder without a copy. A borrowed one is cloned first.
+pub fn decode_snapshot(doc: impl Into<SnapshotDoc>) -> Result<GameState, String> {
+    let doc = doc.into();
     if doc.format_version != SNAPSHOT_VERSION {
         return Err(format!(
             "unsupported snapshot format_version {} (expected {SNAPSHOT_VERSION})",
@@ -533,11 +527,11 @@ pub fn decode_snapshot(doc: &SnapshotDoc) -> Result<GameState, String> {
         ));
     }
     if doc.mechanism.is_subst() {
-        let Some(value) = &doc.subston else {
+        let Some(value) = doc.subston else {
             return Err("substitutable snapshot is missing the subston state".to_string());
         };
         let state: SubstOnState =
-            serde_json::from_value(value.clone()).map_err(|e| format!("bad subston state: {e}"))?;
+            serde_json::from_value(value).map_err(|e| format!("bad subston state: {e}"))?;
         Ok(GameState::Subst(state))
     } else {
         if doc.addon.len() != 1 {
@@ -546,8 +540,9 @@ pub fn decode_snapshot(doc: &SnapshotDoc) -> Result<GameState, String> {
                 doc.addon.len()
             ));
         }
-        let state: AddOnState = serde_json::from_value(doc.addon[0].clone())
-            .map_err(|e| format!("bad addon state: {e}"))?;
+        let value = doc.addon.into_iter().next().expect("len checked");
+        let state: AddOnState =
+            serde_json::from_value(value).map_err(|e| format!("bad addon state: {e}"))?;
         Ok(GameState::Add(state))
     }
 }

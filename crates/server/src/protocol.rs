@@ -338,6 +338,14 @@ pub struct SnapshotDoc {
     pub subston: Option<serde::Value>,
 }
 
+/// Lets [`decode_snapshot`](crate::game::decode_snapshot) take a
+/// borrowed document as well as an owned one.
+impl From<&SnapshotDoc> for SnapshotDoc {
+    fn from(doc: &SnapshotDoc) -> Self {
+        doc.clone()
+    }
+}
+
 /// Current [`SnapshotDoc::format_version`].
 pub const SNAPSHOT_VERSION: u32 = 1;
 

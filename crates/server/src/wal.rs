@@ -575,26 +575,25 @@ impl ShardDurability {
         let applied_seq = checkpoint.as_ref().map_or(0, |c| c.applied_seq);
         let mut registry = Registry::new(engine, shards);
         if let Some(ckpt) = checkpoint {
-            for (game, doc) in &ckpt.games {
-                registry.insert_restored(*game, doc)?;
+            for (game, doc) in ckpt.games {
+                registry.insert_restored(game, doc)?;
             }
         }
         let mut replayed = 0u64;
-        for record in &scanned.records {
-            if record.seq <= applied_seq {
+        for WalRecord { seq, id, op } in scanned.records {
+            if seq <= applied_seq {
                 continue;
             }
             // Replay mirrors live handling: a record that panics the
             // mechanism (a poisoned op) is skipped with a warning so
             // one bad event cannot wedge recovery forever.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                registry.handle(record.id, record.op.clone());
+                registry.handle(id, op);
             }));
             if outcome.is_err() {
                 eprintln!(
-                    "osp-server: wal {}: replay of seq {} panicked; skipping the record",
+                    "osp-server: wal {}: replay of seq {seq} panicked; skipping the record",
                     self.wal_path.display(),
-                    record.seq
                 );
             }
             replayed += 1;
