@@ -2,16 +2,17 @@
 //!
 //! Every fast path added to [`osp_core::addon`] / [`osp_core::subston`]
 //! (the persistent Shapley solver, running residuals, the batched
-//! multi-opt phase loop, the columnar i64 lane scan) diverges further
+//! multi-opt phase loop, the staged slot pipeline) diverges further
 //! from the paper-literal code, and unit tests only guard the
 //! divergences someone thought of. This module is the systematic
 //! guard: it generates randomized *long-horizon* games —
 //! arrive/revise/expire/reject interleavings, 1–16 optimizations,
 //! adversarial bid series (zero-value tails, zero-head spikes,
-//! long-lived constants) — and drives each game through **all four**
-//! [`Engine`]s simultaneously, slot by slot (the pipelined engine with
-//! its fork threshold pinned to zero, so the two-thread ingest/price
-//! handoff really runs even on these small games):
+//! long-lived constants) — and drives each game through **every**
+//! [`Engine`] simultaneously, slot by slot (the pipelined engine twice:
+//! under its default fork policy, and with its fork threshold pinned
+//! to zero, so the two-thread ingest/price handoff really runs even on
+//! these small games; see [`LANES`]):
 //!
 //! * every client operation (submit / revise) must succeed on every
 //!   engine or fail on every engine with the *same* typed error;
@@ -33,48 +34,59 @@ use rand::{Rng, SeedableRng};
 use osp_core::prelude::*;
 use osp_workload::source::Trace;
 
-/// The engine roster every differential game drives in lockstep: the
-/// scalar incremental solver, the paper-literal rebuild oracle, the
-/// columnar i64-lane fast path, and the staged slot pipeline.
-pub const ENGINES: [Engine; 4] = [
-    Engine::Incremental,
-    Engine::Rebuild,
-    Engine::Columnar,
-    Engine::Pipelined,
+/// The lanes every differential game drives in lockstep, each an
+/// engine plus the fork-threshold override it runs under: the
+/// incremental solver, the paper-literal rebuild oracle, the staged
+/// slot pipeline under its default fork policy (these games sit below
+/// the threshold, so its prepared-batch splice runs on one thread),
+/// and the pipeline with its threshold pinned to zero, so the real
+/// two-thread ingest/price handoff runs even on these small games.
+pub const LANES: [(Engine, Option<usize>); 4] = [
+    (Engine::Incremental, None),
+    (Engine::Rebuild, None),
+    (Engine::Pipelined, None),
+    (Engine::Pipelined, Some(0)),
 ];
 
-fn engine_label(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Incremental => "incremental",
-        Engine::Rebuild => "rebuild",
-        Engine::Columnar => "columnar",
-        Engine::Pipelined => "pipelined",
+fn lane_label((engine, fork_min): (Engine, Option<usize>)) -> String {
+    match fork_min {
+        Some(min) => format!("{} (fork_min {min})", engine.name()),
+        None => engine.name().to_string(),
     }
 }
 
-/// Pins the pipelined state's fork threshold to zero so the
-/// differential games — far smaller than the natural threshold —
-/// exercise the real two-thread ingest/price handoff, not just the
-/// sequential fallback. (`states` is indexed like [`ENGINES`].)
-fn force_pipeline_fork_addon(states: &mut [AddOnState]) {
-    for (state, &engine) in states.iter_mut().zip(ENGINES.iter()) {
-        if engine.pipelined() {
-            state.set_fork_min(Some(0));
-        }
-    }
+/// One [`AddOnState`] per [`LANES`] entry.
+fn addon_lanes(cost: Money, horizon: u32) -> Result<Vec<AddOnState>, String> {
+    LANES
+        .iter()
+        .map(|&(engine, fork_min)| {
+            let mut state = AddOnState::with_engine(cost, horizon, engine)?;
+            state.set_fork_min(fork_min);
+            Ok(state)
+        })
+        .collect::<osp_core::Result<_>>()
+        .map_err(|e| format!("constructor failed: {e}"))
 }
 
-/// [`force_pipeline_fork_addon`] for the SubstOn roster.
-fn force_pipeline_fork_subston(states: &mut [SubstOnState]) {
-    for (state, &engine) in states.iter_mut().zip(ENGINES.iter()) {
-        if engine.pipelined() {
-            state.set_fork_min(Some(0));
-        }
-    }
+/// One [`SubstOnState`] per [`LANES`] entry.
+fn subston_lanes(
+    costs: &[Money],
+    horizon: u32,
+    tiebreak: TieBreak,
+) -> Result<Vec<SubstOnState>, String> {
+    LANES
+        .iter()
+        .map(|&(engine, fork_min)| {
+            let mut state = SubstOnState::with_engine(costs.to_vec(), horizon, tiebreak, engine)?;
+            state.set_fork_min(fork_min);
+            Ok(state)
+        })
+        .collect::<osp_core::Result<_>>()
+        .map_err(|e| format!("constructor failed: {e}"))
 }
 
 /// `Err` describing the first divergence when the per-engine `results`
-/// (indexed like [`ENGINES`]) are not all identical.
+/// (indexed like [`LANES`]) are not all identical.
 fn check_agree<T: PartialEq + std::fmt::Debug>(
     context: &str,
     slot: u32,
@@ -84,9 +96,9 @@ fn check_agree<T: PartialEq + std::fmt::Debug>(
         if *r != results[0] {
             return Err(format!(
                 "engines diverged at slot {slot} on {context}:\n  {}: {:?}\n  {}: {:?}",
-                engine_label(ENGINES[0]),
+                lane_label(LANES[0]),
                 results[0],
-                engine_label(ENGINES[i]),
+                lane_label(LANES[i]),
                 r
             ));
         }
@@ -191,12 +203,7 @@ fn adversarial_values(rng: &mut StdRng, len: usize, max_cents: i64) -> (Vec<Mone
 pub fn addon_differential(cfg: &AddOnDiffConfig) -> Result<(AddOnOutcome, OpMix), String> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let cost = Money::from_cents(cfg.cost_cents.max(1));
-    let mut states = ENGINES
-        .iter()
-        .map(|&engine| AddOnState::with_engine(cost, cfg.horizon, engine))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("constructor failed: {e}"))?;
-    force_pipeline_fork_addon(&mut states);
+    let mut states = addon_lanes(cost, cfg.horizon)?;
 
     let mut mix = OpMix::default();
     let mut next_user = 0u32;
@@ -335,12 +342,7 @@ pub fn subston_differential(cfg: &SubstOnDiffConfig) -> Result<(SubstOnOutcome, 
     let costs: Vec<Money> = (0..cfg.num_opts)
         .map(|_| Money::from_cents(rng.gen_range(1..=2 * cfg.mean_cost_cents)))
         .collect();
-    let mut states = ENGINES
-        .iter()
-        .map(|&engine| SubstOnState::with_engine(costs.clone(), cfg.horizon, cfg.tiebreak, engine))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("constructor failed: {e}"))?;
-    force_pipeline_fork_subston(&mut states);
+    let mut states = subston_lanes(&costs, cfg.horizon, cfg.tiebreak)?;
 
     let mut mix = OpMix::default();
     let mut next_user = 0u32;
@@ -429,23 +431,17 @@ pub fn subston_differential(cfg: &SubstOnDiffConfig) -> Result<(SubstOnOutcome, 
 /// [`osp_workload::TraceSource`], so every registered workload (the
 /// synthetic shapes *and* the cloudsim/astro adapters) gets oracle
 /// coverage automatically — including the off-grid value shapes
-/// (`longlived_z120`'s `split_evenly` values) that force the columnar
-/// engine onto its per-entry exact fallback. Scripted operations must
-/// succeed on every engine (registered sources produce fully-accepted
-/// traces); slot reports, outcomes, ledger totals, and the audit must
-/// agree.
+/// (`longlived_z120`'s `split_evenly` values, which leave every
+/// decimal grid). Scripted operations must succeed on every engine
+/// (registered sources produce fully-accepted traces); slot reports,
+/// outcomes, ledger totals, and the audit must agree.
 pub fn trace_differential(trace: &Trace, tiebreak: TieBreak) -> Result<(), String> {
     match trace {
         Trace::Additive {
             scenario,
             revisions,
         } => {
-            let mut states = ENGINES
-                .iter()
-                .map(|&engine| AddOnState::with_engine(scenario.cost, scenario.horizon, engine))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("constructor failed: {e}"))?;
-            force_pipeline_fork_addon(&mut states);
+            let mut states = addon_lanes(scenario.cost, scenario.horizon)?;
             let mut arrivals = scenario.users.iter().peekable();
             let mut revs = revisions.iter().peekable();
             for now in 1..=scenario.horizon {
@@ -493,19 +489,7 @@ pub fn trace_differential(trace: &Trace, tiebreak: TieBreak) -> Result<(), Strin
             audit::check_addon_outcome(&outcomes[0]).map_err(|e| format!("audit failed: {e}"))
         }
         Trace::Subst { scenario } => {
-            let mut states = ENGINES
-                .iter()
-                .map(|&engine| {
-                    SubstOnState::with_engine(
-                        scenario.costs.clone(),
-                        scenario.horizon,
-                        tiebreak,
-                        engine,
-                    )
-                })
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("constructor failed: {e}"))?;
-            force_pipeline_fork_subston(&mut states);
+            let mut states = subston_lanes(&scenario.costs, scenario.horizon, tiebreak)?;
             let mut arrivals = scenario.users.iter().peekable();
             for now in 1..=scenario.horizon {
                 while let Some(spec) = arrivals.next_if(|u| u.series.start().index() <= now) {
@@ -558,7 +542,7 @@ mod tests {
     #[test]
     fn every_registered_workload_passes_a_16_game_differential_smoke() {
         // The PR-gate floor from the registry contract: ≥ 16 games per
-        // registered source through incremental-vs-rebuild-vs-columnar
+        // registered source through every lane of `LANES`
         // (the proptest wrapper in tests/differential.rs piles hundreds
         // more on top).
         for source in registry() {

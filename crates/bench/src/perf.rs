@@ -2,10 +2,9 @@
 //!
 //! [`run`] measures **every** source in the
 //! [`osp_workload::source::registry`] under the incremental and
-//! rebuild Shapley engines (plus the columnar lane and pipelined
-//! engines on the hot-loop workloads that opt in via
-//! `TraceSource::bench_columnar`, and the Regret baseline where a
-//! source opts in), and reports
+//! rebuild Shapley engines (plus the pipelined engine on the
+//! hot-loop workloads that opt in via `TraceSource::bench_pipelined`,
+//! and the Regret baseline where a source opts in), and reports
 //! **user-slot events per second**. Workload axis values in the record
 //! are registry names — adding a source to the registry adds its rows
 //! to `BENCH_mechanisms.json` with no change here. Per-source knobs
@@ -45,8 +44,8 @@ pub struct BenchRecord {
     /// Workload name: a registry source name, or
     /// [`multigame_workload_name`] for the server replay.
     pub workload: String,
-    /// Shapley engine: `incremental`, `rebuild`, `server<N>`, or `-`
-    /// for baselines.
+    /// Shapley engine: an [`Engine::name`], `server<N>`, or `-` for
+    /// baselines.
     pub engine: String,
     /// Number of users `m`.
     pub users: u32,
@@ -116,15 +115,6 @@ pub fn multigame_workload_name() -> String {
 
 const SEED: u64 = 0x05f5_c0de;
 
-fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Incremental => "incremental",
-        Engine::Rebuild => "rebuild",
-        Engine::Columnar => "columnar",
-        Engine::Pipelined => "pipelined",
-    }
-}
-
 /// Repeats `f` until both `min_iters` runs and `min_secs` seconds have
 /// accumulated; returns `(iters, elapsed_seconds)`.
 fn measure<F: FnMut()>(mut f: F, min_iters: u32, min_secs: f64) -> (u32, f64) {
@@ -159,22 +149,13 @@ pub fn run(quick: bool) -> PerfReport {
             let trace = source.sample(m, SEED);
             let slots = trace.horizon();
             let mechanism = trace.mechanism();
-            for engine in [
-                Engine::Incremental,
-                Engine::Rebuild,
-                Engine::Columnar,
-                Engine::Pipelined,
-            ] {
+            for engine in Engine::ALL {
                 if engine == Engine::Rebuild && m > source.rebuild_cap(quick) {
                     continue;
                 }
-                // The pipelined engine shares the columnar opt-in: both
-                // only pay off on the hot-loop workloads, and gating
-                // them together keeps the pipelined/columnar ratio
-                // measurable on every workload that records either.
-                if matches!(engine, Engine::Columnar | Engine::Pipelined)
-                    && !source.bench_columnar()
-                {
+                // The pipelined engine only pays off on the hot-loop
+                // workloads, which opt in.
+                if engine == Engine::Pipelined && !source.bench_pipelined() {
                     continue;
                 }
                 let (iters, elapsed) = measure(
@@ -189,7 +170,7 @@ pub fn run(quick: bool) -> PerfReport {
                 records.push(record(
                     mechanism,
                     source.name(),
-                    engine_name(engine),
+                    engine.name(),
                     m,
                     slots,
                     iters,
@@ -494,13 +475,11 @@ mod tests {
                         .unwrap_or_else(|| panic!("{}/rebuild m={m}", source.name()));
                     assert!(rec.ops_per_sec > 0.0);
                 }
-                if source.bench_columnar() {
-                    for engine in ["columnar", "pipelined"] {
-                        let rec = report
-                            .find(mechanism, source.name(), engine, m)
-                            .unwrap_or_else(|| panic!("{}/{engine} m={m}", source.name()));
-                        assert!(rec.ops_per_sec > 0.0);
-                    }
+                if source.bench_pipelined() {
+                    let rec = report
+                        .find(mechanism, source.name(), "pipelined", m)
+                        .unwrap_or_else(|| panic!("{}/pipelined m={m}", source.name()));
+                    assert!(rec.ops_per_sec > 0.0);
                 }
                 if source.bench_regret() {
                     assert!(report.find("regret", source.name(), "-", m).is_some());

@@ -30,7 +30,7 @@ fn usage() -> &'static str {
   osp example <addoff|addon|substoff|subston>
       Print a commented template game file for the given mechanism.
   osp serve [--shards <n>] [--queue-cap <n>]
-            [--engine incremental|rebuild|columnar|pipelined]
+            [--engine incremental|rebuild|pipelined]
             [--socket <path>]
             [--wal-dir <dir>] [--checkpoint-every <events>]
       Run the sharded multi-game pricing server. Speaks line-delimited

@@ -54,13 +54,7 @@ fn parse_args(args: &[String], usage: &str) -> Result<ServeConfig, String> {
             }
             "--engine" => {
                 let v = it.next().ok_or("--engine needs a value")?;
-                config.engine = match v.as_str() {
-                    "incremental" => Engine::Incremental,
-                    "rebuild" => Engine::Rebuild,
-                    "columnar" => Engine::Columnar,
-                    "pipelined" => Engine::Pipelined,
-                    other => return Err(format!("unknown engine `{other}`")),
-                };
+                config.engine = v.parse::<Engine>()?;
             }
             "--socket" => {
                 let v = it.next().ok_or("--socket needs a path")?;

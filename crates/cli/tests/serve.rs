@@ -94,17 +94,17 @@ fn pipe_server_smoke_100_games_matches_oracle() {
     }
 }
 
-/// `--engine columnar` over the pipe: wire-safe traces sit on the
-/// micro-dollar grid, so this drives the lane fast path end-to-end and
-/// must still match the paper-literal rebuild oracle exactly.
+/// `--engine pipelined` over the pipe: every game the server creates
+/// runs the staged slot pipeline end-to-end and must still match the
+/// paper-literal rebuild oracle exactly.
 #[test]
-fn pipe_server_columnar_engine_matches_oracle() {
+fn pipe_server_pipelined_engine_matches_oracle() {
     let cfg = ScriptConfig::smoke(40);
     let requests = script::generate(&cfg);
     let shutdown_id = requests.len() as u64 + 1;
 
     let mut child = osp()
-        .args(["serve", "--shards", "2", "--engine", "columnar"])
+        .args(["serve", "--shards", "2", "--engine", "pipelined"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -303,6 +303,26 @@ fn usage_mentions_every_subcommand() {
     ] {
         assert!(usage.contains(flag), "usage lacks `{flag}`");
     }
+    let engines: Vec<&str> = Engine::ALL.iter().map(|e| e.name()).collect();
+    let engine_flag = format!("--engine {}]", engines.join("|"));
+    assert!(usage.contains(&engine_flag), "usage lacks `{engine_flag}`");
+}
+
+#[test]
+fn serve_rejects_an_unknown_engine_by_listing_the_valid_ones() {
+    let output = osp()
+        .args(["serve", "--engine", "columnar"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains(
+            "unknown engine `columnar` (expected one of: incremental, rebuild, pipelined)"
+        ),
+        "{stderr}"
+    );
 }
 
 /// Feeds `requests` (plus a shutdown) through one `osp serve` life and

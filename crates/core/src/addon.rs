@@ -14,13 +14,12 @@
 //! bids are rejected — and [`run`] drives it end-to-end for batch
 //! experiments.
 //!
-//! Four [`Engine`]s drive the per-slot Shapley computation: the
+//! Three [`Engine`]s drive the per-slot Shapley computation: the
 //! default [`Engine::Incremental`] keeps one [`crate::shapley::Solver`]
 //! alive across slots (bids stay sorted, committing a slot's serviced
 //! cohort is O(1), arrivals/expiries are indexed by slot);
-//! [`Engine::Columnar`] is the same solver with its i64 micro-lane
-//! fast path enabled; [`Engine::Pipelined`] additionally overlaps slot
-//! `t`'s pricing with slot `t+1`'s ingestion on a second thread
+//! [`Engine::Pipelined`] is the same solver with slot `t`'s pricing
+//! overlapped with slot `t+1`'s ingestion on a second thread
 //! ([`crate::pipeline`]); and [`Engine::Rebuild`] re-runs
 //! [`crate::shapley::run`] on a freshly built bid map every slot — the
 //! paper-literal baseline. Outcomes are identical (property-tested and
@@ -74,7 +73,7 @@ use crate::shapley::{self, Engine, ShapleyBid, Solver};
 
 /// Slot `slot`'s pre-computed ingest, assembled by the pipeline's
 /// stage A while slot `slot - 1` was being priced: the full sorted
-/// `(value, lane, user)` update batch the solver will splice in, plus
+/// `(value, user)` update batch the solver will splice in, plus
 /// the pre-summed residual seeds for the arrivals known at preparation
 /// time. The batch is snapshotted while the overlapped pricing may
 /// still be committing users; `Solver::replace_finite_merge` filters
@@ -83,7 +82,7 @@ use crate::shapley::{self, Engine, ShapleyBid, Solver};
 #[derive(Debug, Clone, Default)]
 struct PipelinePrepared {
     slot: u32,
-    batch: Vec<(Money, i64, UserId)>,
+    batch: Vec<(Money, UserId)>,
     seeds: Vec<(UserId, Money)>,
 }
 
@@ -96,7 +95,7 @@ struct PipelinePrepared {
 struct PipelineScratch {
     prepared: Option<PipelinePrepared>,
     fork_min: Option<usize>,
-    spare: Vec<(Money, i64, UserId)>,
+    spare: Vec<(Money, UserId)>,
     worker: pipeline::Worker<IngestJob, IngestDone>,
 }
 
@@ -113,7 +112,7 @@ struct IngestJob {
     arm: bool,
     t: SlotId,
     next: u32,
-    spare: Vec<(Money, i64, UserId)>,
+    spare: Vec<(Money, UserId)>,
 }
 
 /// The moved state coming home after stage A, plus the armed snapshot.
@@ -152,7 +151,7 @@ fn run_ingest(job: IngestJob) -> IngestDone {
 /// positive constant — so sorting by those keys equals sorting by the
 /// rationals themselves; `fits_i64` additionally promises every key
 /// fits the narrower `i64`.
-fn common_scale(batch: &[(Money, i64, UserId)]) -> Option<(i128, bool)> {
+fn common_scale(batch: &[(Money, UserId)]) -> Option<(i128, bool)> {
     fn gcd(mut a: i128, mut b: i128) -> i128 {
         while b != 0 {
             (a, b) = (b, a % b);
@@ -160,12 +159,12 @@ fn common_scale(batch: &[(Money, i64, UserId)]) -> Option<(i128, bool)> {
         a
     }
     let mut scale: i128 = 1;
-    for &(v, _, _) in batch {
+    for &(v, _) in batch {
         let den = v.as_ratio().denom();
         scale = (scale / gcd(scale, den)).checked_mul(den)?;
     }
     let mut narrow = true;
-    for &(v, _, _) in batch {
+    for &(v, _) in batch {
         let r = v.as_ratio();
         let key = r.numer().checked_mul(scale / r.denom())?;
         narrow &= i64::try_from(key).is_ok();
@@ -187,14 +186,14 @@ fn ingest_stage(
     arm: bool,
     t: SlotId,
     next: u32,
-    mut batch: Vec<(Money, i64, UserId)>,
+    mut batch: Vec<(Money, UserId)>,
 ) -> Option<PipelinePrepared> {
     residuals.advance(t, |u| &bids[&u]);
     if !arm {
         return None;
     }
     batch.clear();
-    batch.extend(residuals.iter().map(|(u, r)| (r, shapley::lane_of(r), u)));
+    batch.extend(residuals.iter().map(|(u, r)| (r, u)));
     // Residual values are exact rationals, and comparing two of them
     // costs a 128-bit cross-multiply whenever their denominators differ
     // — on off-grid traces that makes this sort the whole slot's
@@ -204,17 +203,17 @@ fn ingest_stage(
     // scaled numerator) would overflow, and both produce the identical
     // order.
     match common_scale(&batch) {
-        Some((scale, true)) => batch.sort_by_cached_key(|&(v, _, u)| {
+        Some((scale, true)) => batch.sort_by_cached_key(|&(v, u)| {
             let r = v.as_ratio();
             let key = r.numer() * (scale / r.denom());
             let key = i64::try_from(key).expect("common_scale certified i64 keys");
             std::cmp::Reverse((key, u))
         }),
-        Some((scale, false)) => batch.sort_by_cached_key(|&(v, _, u)| {
+        Some((scale, false)) => batch.sort_by_cached_key(|&(v, u)| {
             let r = v.as_ratio();
             std::cmp::Reverse((r.numer() * (scale / r.denom()), u))
         }),
-        None => batch.sort_unstable_by_key(|&(v, _, u)| std::cmp::Reverse((v, u))),
+        None => batch.sort_unstable_by(|a, b| b.cmp(a)),
     }
     let seeds: Vec<(UserId, Money)> = starts[next as usize]
         .iter()
@@ -367,7 +366,7 @@ impl AddOnState {
             payments: BTreeMap::new(),
             implemented_at: None,
             share_by_slot: Vec::with_capacity(horizon as usize),
-            solver: Solver::with_capacity_for(cost, 0, engine)?,
+            solver: Solver::new(cost)?,
             pending: FastSet::default(),
             residuals: ResidualTracker::new(),
             starts: vec![Vec::new(); slots],
@@ -671,14 +670,11 @@ impl AddOnState {
                 }
             }
             self.pending.extend(arrived.iter().copied());
-            let mut fresh: Vec<(Money, i64, UserId)> = arrived
+            let mut fresh: Vec<(Money, UserId)> = arrived
                 .iter()
-                .map(|&u| {
-                    let r = self.residuals.get(u).expect("arrival was just seeded");
-                    (r, shapley::lane_of(r), u)
-                })
+                .map(|&u| (self.residuals.get(u).expect("arrival was just seeded"), u))
                 .collect();
-            fresh.sort_unstable_by_key(|&(v, _, u)| std::cmp::Reverse((v, u)));
+            fresh.sort_unstable_by(|a, b| b.cmp(a));
             // An explicit override forks purely by size (tests force
             // the handoff with `Some(0)` even on one core); the default
             // policy additionally requires a second hardware thread,
@@ -1232,7 +1228,6 @@ mod tests {
         };
         let inc = run_engine(Engine::Incremental);
         assert_eq!(inc, run_engine(Engine::Rebuild));
-        assert_eq!(inc, run_engine(Engine::Columnar));
         assert_eq!(inc, run_engine(Engine::Pipelined));
         // And the revision really took: u0 is serviced at t=3, pays 100.
         assert_eq!(inc.first_serviced[&UserId(0)], SlotId(3));
@@ -1266,7 +1261,6 @@ mod tests {
         };
         let inc = run_engine(Engine::Incremental);
         assert_eq!(inc, run_engine(Engine::Rebuild));
-        assert_eq!(inc, run_engine(Engine::Columnar));
         assert_eq!(inc, run_engine(Engine::Pipelined));
         assert_eq!(inc.payments[&UserId(0)], m(50));
     }
@@ -1411,12 +1405,10 @@ mod tests {
             use proptest::prelude::*;
             let incremental = run_with_engine(&game, Engine::Incremental).unwrap();
             let rebuild = run_with_engine(&game, Engine::Rebuild).unwrap();
-            let columnar = run_with_engine(&game, Engine::Columnar).unwrap();
             let pipelined = run_with_engine(&game, Engine::Pipelined).unwrap();
             let forced = run_pipelined_forced(&game);
             let literal = literal_reference(&game);
             prop_assert_eq!(&incremental, &rebuild);
-            prop_assert_eq!(&incremental, &columnar);
             prop_assert_eq!(&incremental, &pipelined);
             prop_assert_eq!(&incremental, &forced);
             prop_assert_eq!(&incremental, &literal);
@@ -1430,36 +1422,27 @@ mod tests {
             use proptest::prelude::*;
             let mut inc = AddOnState::with_engine(game.cost, game.horizon, Engine::Incremental).unwrap();
             let mut reb = AddOnState::with_engine(game.cost, game.horizon, Engine::Rebuild).unwrap();
-            let mut col = AddOnState::with_engine(game.cost, game.horizon, Engine::Columnar).unwrap();
             let mut pip = AddOnState::with_engine(game.cost, game.horizon, Engine::Pipelined).unwrap();
             pip.set_fork_min(Some(0));
             for bid in &game.bids {
                 inc.submit(bid.clone()).unwrap();
                 reb.submit(bid.clone()).unwrap();
-                col.submit(bid.clone()).unwrap();
                 pip.submit(bid.clone()).unwrap();
             }
             for _ in 1..=game.horizon {
                 let step = inc.advance().unwrap();
                 prop_assert_eq!(&step, &reb.advance().unwrap());
-                prop_assert_eq!(&step, &col.advance().unwrap());
                 prop_assert_eq!(&step, &pip.advance().unwrap());
             }
             let done = inc.finish().unwrap();
             prop_assert_eq!(&done, &reb.finish().unwrap());
-            prop_assert_eq!(&done, &col.finish().unwrap());
             prop_assert_eq!(&done, &pip.finish().unwrap());
         }
     }
 
     #[test]
     fn engines_agree_under_revisions() {
-        for engine in [
-            Engine::Incremental,
-            Engine::Rebuild,
-            Engine::Columnar,
-            Engine::Pipelined,
-        ] {
+        for engine in Engine::ALL {
             let mut st = AddOnState::with_engine(m(100), 4, engine).unwrap();
             st.submit(bid(0, 1, &[10, 10])).unwrap();
             st.submit(bid(1, 2, &[5, 5, 5])).unwrap();

@@ -9,8 +9,7 @@
 //!   commit the serviced set; and
 //! - **stage A (ingest)** — retire slot `t`'s valuations from the running
 //!   residuals and pre-compute slot `t+1`'s arrival seeds and the sorted
-//!   `(value, lane, user)` update batch the solver will splice in next
-//!   slot.
+//!   `(value, user)` update batch the solver will splice in next slot.
 //!
 //! Two primitives run that split, both degrading to *strictly
 //! sequential* execution (price first, then ingest — the exact order

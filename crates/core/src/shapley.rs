@@ -213,34 +213,39 @@ pub enum Engine {
     /// every slot — the paper-literal path, kept as the benchmark
     /// baseline and as the oracle for engine-equivalence tests.
     Rebuild,
-    /// The [`Incremental`](Engine::Incremental) solver with its i64
-    /// micro-lane fast path enabled: the affordable-prefix scan and
-    /// the batch-merge comparisons run over the flat lane column
-    /// (`osp_econ::column` kernels) whenever every finite bid and the
-    /// cost lie on the micro-dollar grid, falling back per-entry to
-    /// exact [`Money`] arithmetic otherwise. Bit-identical outcomes —
-    /// proven by the differential oracle against both other engines.
-    Columnar,
-    /// The [`Columnar`](Engine::Columnar) solver with the two-stage
-    /// slot pipeline on top (`crate::pipeline`): while slot `t` is
-    /// being priced and committed (the only cross-slot dependency),
-    /// a second thread retires slot `t`'s valuations from the running
-    /// residuals and pre-computes slot `t+1`'s sorted update batch and
-    /// arrival seeds. Slots too small to amortize a thread spawn fall
-    /// back to the sequential columnar path. Bit-identical outcomes —
+    /// The [`Incremental`](Engine::Incremental) solver with the
+    /// two-stage slot pipeline on top (`crate::pipeline`): while slot
+    /// `t` is being priced and committed (the only cross-slot
+    /// dependency), a second thread retires slot `t`'s valuations from
+    /// the running residuals and pre-computes slot `t+1`'s sorted
+    /// update batch and arrival seeds. Slots too small to amortize the
+    /// handoff stay on the sequential path. Bit-identical outcomes —
     /// every quantity is exact [`Money`] arithmetic over disjoint
-    /// state, proven by the differential oracle against all three
-    /// other engines.
+    /// state, proven by the differential oracle against both other
+    /// engines.
     Pipelined,
 }
 
 impl Engine {
+    /// Every engine, in the order the CLI, the wire protocol, the
+    /// benches and the differential oracle list them.
+    pub const ALL: [Engine; 3] = [Engine::Incremental, Engine::Rebuild, Engine::Pipelined];
+
+    /// The engine's name on the command line and the wire.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Engine::Incremental => "incremental",
+            Engine::Rebuild => "rebuild",
+            Engine::Pipelined => "pipelined",
+        }
+    }
+
     /// `true` for the engines that drive a persistent [`Solver`]
-    /// across slots ([`Engine::Incremental`], [`Engine::Columnar`],
-    /// [`Engine::Pipelined`]); `false` for the paper-literal
-    /// [`Engine::Rebuild`]. The online mechanisms branch on this, not
-    /// on the specific variant, so the columnar and pipelined engines
-    /// inherit the incremental slot logic wholesale.
+    /// across slots ([`Engine::Incremental`], [`Engine::Pipelined`]);
+    /// `false` for the paper-literal [`Engine::Rebuild`]. The online
+    /// mechanisms branch on this, not on the specific variant, so the
+    /// pipelined engine inherits the incremental slot logic wholesale.
     #[must_use]
     pub fn uses_solver(self) -> bool {
         !matches!(self, Engine::Rebuild)
@@ -252,6 +257,24 @@ impl Engine {
     #[must_use]
     pub fn pipelined(self) -> bool {
         matches!(self, Engine::Pipelined)
+    }
+}
+
+impl std::str::FromStr for Engine {
+    type Err = String;
+
+    /// Parses an [`Engine::name`]; the error lists every valid name.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Engine::ALL
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Engine::ALL.iter().map(|e| e.name()).collect();
+                format!(
+                    "unknown engine `{s}` (expected one of: {})",
+                    names.join(", ")
+                )
+            })
     }
 }
 
@@ -277,23 +300,6 @@ impl Solution {
     }
 }
 
-/// Lane sentinel for finite bids that do not lie on the micro-dollar
-/// grid (and for the cost when it is off-grid): the columnar fast path
-/// is disabled while any are present, so the sentinel can never be
-/// compared or multiplied.
-const OFF_GRID: i64 = i64::MIN;
-
-/// `value` in i64 micro-lane units, or [`OFF_GRID`].
-pub(crate) fn lane_of(value: Money) -> i64 {
-    match value.to_micros() {
-        // `i64::MIN` micros is collapsed into the sentinel: treating
-        // one representable (absurdly negative) amount as off-grid
-        // costs only the fast path, never exactness.
-        Some(OFF_GRID) | None => OFF_GRID,
-        Some(lane) => lane,
-    }
-}
-
 /// Incremental Shapley solver: the same mechanism as [`run`], factored
 /// as a persistent data structure for the online mechanisms.
 ///
@@ -301,26 +307,16 @@ pub(crate) fn lane_of(value: Money) -> i64 {
 /// `z`-slot online game pays `O(z · m log m)` plus `z` rounds of map
 /// and vector allocation. `Solver` instead keeps the finite bids
 /// **column-wise, descending-sorted, behind a committed prefix** — a
-/// struct-of-arrays of three parallel columns:
+/// struct-of-arrays of two parallel columns:
 ///
 /// ```text
-/// values: [ ……committed…… | finite Money bids, sorted descending  ]
-/// lanes:  [ ……(zeroed)…… | the same bids as i64 micros (or OFF_GRID) ]
-/// users:  [ committed ids | finite bidder ids, same order           ]
+/// values: [ ……committed…… | finite Money bids, sorted descending ]
+/// users:  [ committed ids | finite bidder ids, same order         ]
 ///                          ^ committed_len
 /// ```
 ///
-/// The `values` column is the exact truth ([`Money`] rationals); the
-/// `lanes` column mirrors each finite bid in micro-dollar lane units
-/// whenever it lies on that grid. Under [`Engine::Columnar`] the hot
-/// loops — [`Solver::solve`]'s affordable-prefix scan and
-/// [`Solver::update_bids`]' merge — run branch-light over the
-/// contiguous `i64` lanes (`osp_econ::column` kernels) while
-/// `off_grid == 0` and the cost is on-grid, and fall back to the exact
-/// `values` column otherwise, so exactness is preserved at the edges.
-///
 /// * [`Solver::update_bid`] inserts or moves one entry (binary search
-///   plus contiguous rotates of the three columns);
+///   plus contiguous rotates of both columns);
 /// * [`Solver::solve`] scans for the largest affordable prefix without
 ///   allocating, exactly like [`run`]'s `chosen_k` loop;
 /// * [`Solver::commit_top`] absorbs the serviced prefix into the
@@ -332,28 +328,23 @@ pub(crate) fn lane_of(value: Money) -> i64 {
 /// ### Invariants
 ///
 /// 1. The columns are index-parallel; `[..committed_len]` holds the
-///    committed users, in commitment order. Their value/lane slots are
+///    committed users, in commitment order. Their value slots are
 ///    zeroed on commitment (committed means `b = ∞`; the stored value
 ///    is ignored).
 /// 2. The finite region `[committed_len..]` is strictly descending by
-///    `(value, user)` — strict because users are unique. On a common
-///    grid the lane order is the same order, which is what lets the
-///    columnar merge compare `(lane, user)` pairs instead of rationals.
+///    `(value, user)` — strict because users are unique.
 /// 3. `states` mirrors the columns: every user appears exactly once,
 ///    with the value recorded in `values` (this is what makes the
 ///    binary search in `find_finite` exact). It is a seedless
 ///    [`osp_econ::FastMap`] — O(1) with a one-multiply hash on the hot
 ///    paths and never iterated, so no ordering nondeterminism can leak
 ///    into outcomes.
-/// 4. `off_grid` counts the finite entries whose lane is [`OFF_GRID`];
-///    `cost_lane` is the cost in lane units (or [`OFF_GRID`]). The
-///    columnar fast path is taken only when both say the whole scan is
-///    on-grid.
 ///
 /// Equivalence with [`run`] and [`run_iterative`] under arbitrary
 /// `update_bid`/`commit`/`remove` interleavings is property-tested,
-/// and the columnar path is pinned against both scalar engines by the
-/// differential oracle (`osp_bench::differential`).
+/// and every engine built on it is pinned against the paper-literal
+/// [`Engine::Rebuild`] by the differential oracle
+/// (`osp_bench::differential`).
 ///
 /// The solver serializes (all fields are plain data), so the online
 /// state machines that embed it can be checkpointed mid-game and
@@ -361,40 +352,17 @@ pub(crate) fn lane_of(value: Money) -> i64 {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Solver {
     cost: Money,
-    /// `cost` in micro-lane units, or [`OFF_GRID`].
-    cost_lane: i64,
-    /// Exact bid column (the truth).
+    /// Exact bid column.
     values: Vec<Money>,
-    /// The same bids in i64 micros; [`OFF_GRID`] off the grid.
-    lanes: Vec<i64>,
     /// Bidder column.
     users: Vec<UserId>,
     committed_len: usize,
-    /// Finite entries currently holding an [`OFF_GRID`] lane.
-    off_grid: usize,
-    /// `true` under [`Engine::Columnar`]: take the lane fast path when
-    /// the grid allows.
-    columnar: bool,
     states: osp_econ::FastMap<UserId, ShapleyBid>,
 }
 
 impl Solver {
     /// Creates a solver for one optimization of cost `cost > 0`.
     pub fn new(cost: Money) -> crate::Result<Self> {
-        Self::with_capacity(cost, 0)
-    }
-
-    /// Like [`Solver::new`], pre-allocating room for `capacity` bids so
-    /// steady-state operation never reallocates.
-    pub fn with_capacity(cost: Money, capacity: usize) -> crate::Result<Self> {
-        Self::with_capacity_for(cost, capacity, Engine::Incremental)
-    }
-
-    /// Like [`Solver::with_capacity`], choosing the scan strategy from
-    /// `engine`: [`Engine::Columnar`] enables the i64 lane fast path,
-    /// anything else keeps every comparison on the exact [`Money`]
-    /// column.
-    pub fn with_capacity_for(cost: Money, capacity: usize, engine: Engine) -> crate::Result<Self> {
         if !cost.is_positive() {
             return Err(crate::MechanismError::NonPositiveCost {
                 opt: osp_econ::OptId(0),
@@ -403,14 +371,10 @@ impl Solver {
         }
         Ok(Solver {
             cost,
-            cost_lane: lane_of(cost),
-            values: Vec::with_capacity(capacity),
-            lanes: Vec::with_capacity(capacity),
-            users: Vec::with_capacity(capacity),
+            values: Vec::new(),
+            users: Vec::new(),
             committed_len: 0,
-            off_grid: 0,
-            columnar: matches!(engine, Engine::Columnar | Engine::Pipelined),
-            states: osp_econ::FastMap::with_capacity_and_hasher(capacity, Default::default()),
+            states: osp_econ::FastMap::default(),
         })
     }
 
@@ -482,58 +446,35 @@ impl Solver {
         self.finite_partition_point((value, user))
     }
 
-    /// Bookkeeping for a lane leaving the finite region.
-    fn retire_lane(&mut self, lane: i64) {
-        if lane == OFF_GRID {
-            self.off_grid -= 1;
-        }
-    }
-
-    /// Bookkeeping for a lane entering the finite region.
-    fn admit_lane(&mut self, lane: i64) {
-        if lane == OFF_GRID {
-            self.off_grid += 1;
-        }
-    }
-
     /// Sets (or inserts) `user`'s finite bid. A no-op for committed
     /// users — their bid is `∞` and stays `∞` (matching the online
     /// mechanisms, where revisions of serviced users are irrelevant).
     pub fn update_bid(&mut self, user: UserId, value: Money) {
         debug_assert!(!value.is_negative(), "bids must be non-negative");
-        let lane = lane_of(value);
         match self.states.get(&user) {
             Some(ShapleyBid::Committed) => return,
             Some(&ShapleyBid::Value(old)) if old == value => return,
             Some(&ShapleyBid::Value(old)) => {
                 let from = self.find_finite(old, user);
                 let to = self.insertion_point(value, user);
-                self.retire_lane(self.lanes[from]);
                 // `to` was computed with the old entry still in place;
                 // rotate moves it to its new slot in one contiguous pass.
                 if to > from {
                     self.values[from..to].rotate_left(1);
-                    self.lanes[from..to].rotate_left(1);
                     self.users[from..to].rotate_left(1);
                     self.values[to - 1] = value;
-                    self.lanes[to - 1] = lane;
                     self.users[to - 1] = user;
                 } else {
                     self.values[to..=from].rotate_right(1);
-                    self.lanes[to..=from].rotate_right(1);
                     self.users[to..=from].rotate_right(1);
                     self.values[to] = value;
-                    self.lanes[to] = lane;
                     self.users[to] = user;
                 }
-                self.admit_lane(lane);
             }
             None => {
                 let to = self.insertion_point(value, user);
                 self.values.insert(to, value);
-                self.lanes.insert(to, lane);
                 self.users.insert(to, user);
-                self.admit_lane(lane);
             }
         }
         self.states.insert(user, ShapleyBid::Value(value));
@@ -544,11 +485,6 @@ impl Solver {
     /// `O(f + a log a)` for `a` updates against `f` finite bids, where
     /// `a` one-at-a-time inserts would pay `O(a·f)` memmove.
     ///
-    /// Under [`Engine::Columnar`] with every bid on the micro grid the
-    /// merge compares `(i64 lane, user)` pairs over the contiguous lane
-    /// column instead of rational cross-products — the batch-merge half
-    /// of the columnar fast path.
-    ///
     /// Each user may appear **at most once** per batch (the online
     /// mechanisms feed this from a set); a duplicate trips a debug
     /// assertion. Committed users and unchanged values are skipped.
@@ -556,7 +492,7 @@ impl Solver {
     where
         I: IntoIterator<Item = (UserId, Money)>,
     {
-        let mut fresh: Vec<(Money, i64, UserId)> = Vec::new();
+        let mut fresh: Vec<(Money, UserId)> = Vec::new();
         let mut stale: Vec<(Money, UserId)> = Vec::new();
         for (user, value) in updates {
             debug_assert!(!value.is_negative(), "bids must be non-negative");
@@ -565,92 +501,68 @@ impl Solver {
                 Some(&ShapleyBid::Value(old)) => {
                     if old != value {
                         stale.push((old, user));
-                        fresh.push((value, lane_of(value), user));
+                        fresh.push((value, user));
                         self.states.insert(user, ShapleyBid::Value(value));
                     }
                 }
                 None => {
-                    fresh.push((value, lane_of(value), user));
+                    fresh.push((value, user));
                     self.states.insert(user, ShapleyBid::Value(value));
                 }
             }
         }
-        let c = self.committed_len;
         if !stale.is_empty() {
             // One pass over the finite region, dropping the old entries
             // of every changed bid (both lists share the sort order).
             stale.sort_unstable_by(|a, b| b.cmp(a));
-            let mut si = 0;
-            let mut write = c;
-            for read in c..self.values.len() {
-                if si < stale.len() && (self.values[read], self.users[read]) == stale[si] {
-                    if self.lanes[read] == OFF_GRID {
-                        self.off_grid -= 1;
-                    }
-                    si += 1;
-                    continue;
-                }
-                self.values[write] = self.values[read];
-                self.lanes[write] = self.lanes[read];
-                self.users[write] = self.users[read];
-                write += 1;
-            }
-            debug_assert_eq!(si, stale.len(), "duplicate user in update_bids batch?");
-            self.values.truncate(write);
-            self.lanes.truncate(write);
-            self.users.truncate(write);
+            let removed = self.drop_sorted(&stale);
+            debug_assert_eq!(removed, stale.len(), "duplicate user in update_bids batch?");
         }
         if fresh.is_empty() {
             return;
         }
         // Merge the sorted batch into the sorted finite region from the
         // back (largest write index = smallest value).
-        fresh.sort_unstable_by_key(|&(value, _, user)| std::cmp::Reverse((value, user)));
-        let fresh_off_grid = fresh.iter().filter(|&&(_, l, _)| l == OFF_GRID).count();
+        fresh.sort_unstable_by(|a, b| b.cmp(a));
+        let c = self.committed_len;
         let mut i = self.values.len();
         let mut j = fresh.len();
         self.values.resize(i + j, Money::ZERO);
-        self.lanes.resize(i + j, 0);
         self.users.resize(i + j, UserId(u32::MAX));
         let mut w = self.values.len();
-        if self.columnar && self.off_grid == 0 && fresh_off_grid == 0 {
-            // Columnar merge: every key is on the micro grid, where
-            // (lane, user) order coincides with (value, user) order, so
-            // the merge walks the flat i64 lane column.
-            while j > 0 {
-                w -= 1;
-                let (fv, fl, fu) = fresh[j - 1];
-                if i > c && (self.lanes[i - 1], self.users[i - 1]) < (fl, fu) {
-                    i -= 1;
-                    self.values[w] = self.values[i];
-                    self.lanes[w] = self.lanes[i];
-                    self.users[w] = self.users[i];
-                } else {
-                    j -= 1;
-                    self.values[w] = fv;
-                    self.lanes[w] = fl;
-                    self.users[w] = fu;
-                }
-            }
-        } else {
-            // Exact merge over the Money column.
-            while j > 0 {
-                w -= 1;
-                let (fv, fl, fu) = fresh[j - 1];
-                if i > c && (self.values[i - 1], self.users[i - 1]) < (fv, fu) {
-                    i -= 1;
-                    self.values[w] = self.values[i];
-                    self.lanes[w] = self.lanes[i];
-                    self.users[w] = self.users[i];
-                } else {
-                    j -= 1;
-                    self.values[w] = fv;
-                    self.lanes[w] = fl;
-                    self.users[w] = fu;
-                }
+        while j > 0 {
+            w -= 1;
+            let (fv, fu) = fresh[j - 1];
+            if i > c && (self.values[i - 1], self.users[i - 1]) < (fv, fu) {
+                i -= 1;
+                self.values[w] = self.values[i];
+                self.users[w] = self.users[i];
+            } else {
+                j -= 1;
+                self.values[w] = fv;
+                self.users[w] = fu;
             }
         }
-        self.off_grid += fresh_off_grid;
+    }
+
+    /// One compaction pass over the finite region dropping every entry
+    /// of `stale` (descending by `(value, user)`, like the region);
+    /// returns how many were found.
+    fn drop_sorted(&mut self, stale: &[(Money, UserId)]) -> usize {
+        let mut si = 0;
+        let mut write = self.committed_len;
+        for read in self.committed_len..self.values.len() {
+            if si < stale.len() && (self.values[read], self.users[read]) == stale[si] {
+                si += 1;
+                continue;
+            }
+            self.values[write] = self.values[read];
+            self.users[write] = self.users[read];
+            write += 1;
+        }
+        self.values.truncate(write);
+        self.users.truncate(write);
+        si
     }
 
     /// Forces `user` into the serviced set forever (`b = ∞`). Users
@@ -660,19 +572,15 @@ impl Solver {
             Some(ShapleyBid::Committed) => return,
             Some(&ShapleyBid::Value(v)) => {
                 let pos = self.find_finite(v, user);
-                self.retire_lane(self.lanes[pos]);
                 let c = self.committed_len;
                 self.values[c..=pos].rotate_right(1);
-                self.lanes[c..=pos].rotate_right(1);
                 self.users[c..=pos].rotate_right(1);
                 // Committed slots ignore their value; zero them so the
                 // columns stay canonical (deterministic serde).
                 self.values[c] = Money::ZERO;
-                self.lanes[c] = 0;
             }
             None => {
                 self.values.insert(self.committed_len, Money::ZERO);
-                self.lanes.insert(self.committed_len, 0);
                 self.users.insert(self.committed_len, user);
             }
         }
@@ -694,9 +602,7 @@ impl Solver {
             }
             Some(&ShapleyBid::Value(v)) => {
                 let pos = self.find_finite(v, user);
-                self.retire_lane(self.lanes[pos]);
                 self.values.remove(pos);
-                self.lanes.remove(pos);
                 self.users.remove(pos);
                 self.states.remove(&user);
                 true
@@ -707,9 +613,9 @@ impl Solver {
     /// Batch [`Solver::remove`]: drops a whole slot's worth of expired
     /// finite bids in **one** compaction pass over the columns —
     /// `O(f + r log r)` for `r` removals against `f` finite bids, where
-    /// `r` one-at-a-time `Vec::remove`s would pay `O(r·f)` memmove
-    /// (three columns' worth). Users without a bid are skipped, same
-    /// as [`Solver::remove`] returning `false`.
+    /// `r` one-at-a-time `Vec::remove`s would pay `O(r·f)` memmove.
+    /// Users without a bid are skipped, same as [`Solver::remove`]
+    /// returning `false`.
     ///
     /// # Panics
     /// Panics if any user is committed — committed users can never
@@ -734,27 +640,9 @@ impl Solver {
         if stale.is_empty() {
             return;
         }
-        // Same single-pass compaction as `update_bids`' stale sweep:
-        // both lists share the descending sort order.
         stale.sort_unstable_by(|a, b| b.cmp(a));
-        let c = self.committed_len;
-        let mut si = 0;
-        let mut write = c;
-        for read in c..self.values.len() {
-            if si < stale.len() && (self.values[read], self.users[read]) == stale[si] {
-                self.retire_lane(self.lanes[read]);
-                si += 1;
-                continue;
-            }
-            self.values[write] = self.values[read];
-            self.lanes[write] = self.lanes[read];
-            self.users[write] = self.users[read];
-            write += 1;
-        }
-        debug_assert_eq!(si, stale.len(), "duplicate user in remove_bids batch?");
-        self.values.truncate(write);
-        self.lanes.truncate(write);
-        self.users.truncate(write);
+        let removed = self.drop_sorted(&stale);
+        debug_assert_eq!(removed, stale.len(), "duplicate user in remove_bids batch?");
     }
 
     /// Replaces the whole finite region by merging two sorted runs —
@@ -774,15 +662,15 @@ impl Solver {
     ///   row pushed.
     ///
     /// Contract (debug-asserted): both runs are strictly descending by
-    /// `(value, user)` with no user in common, each lane mirrors its
-    /// value, `fresh` users are brand new, and every currently-finite
-    /// user appears in one of the runs (otherwise her `states` entry
-    /// would go stale). The result is identical to feeding the same
-    /// live values through [`Solver::update_bids`].
+    /// `(value, user)` with no user in common, `fresh` users are brand
+    /// new, and every currently-finite user appears in one of the runs
+    /// (otherwise her `states` entry would go stale). The result is
+    /// identical to feeding the same live values through
+    /// [`Solver::update_bids`].
     pub(crate) fn replace_finite_merge(
         &mut self,
-        batch: &[(Money, i64, UserId)],
-        fresh: &[(Money, i64, UserId)],
+        batch: &[(Money, UserId)],
+        fresh: &[(Money, UserId)],
     ) {
         let c = self.committed_len;
         debug_assert!(
@@ -790,26 +678,23 @@ impl Solver {
             "pipeline batch must cover every finite user"
         );
         self.values.truncate(c);
-        self.lanes.truncate(c);
         self.users.truncate(c);
-        self.off_grid = 0;
         let cap = batch.len() + fresh.len();
         self.values.reserve(cap);
-        self.lanes.reserve(cap);
         self.users.reserve(cap);
         let mut prev: Option<(Money, UserId)> = None;
         let (mut i, mut j) = (0, 0);
         loop {
             let take_batch = match (batch.get(i), fresh.get(j)) {
-                (Some(&(bv, _, bu)), Some(&(fv, _, fu))) => (bv, bu) > (fv, fu),
+                (Some(b), Some(f)) => b > f,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            let (value, lane, user) = if take_batch {
+            let (value, user) = if take_batch {
                 let entry = batch[i];
                 i += 1;
-                match self.states.get_mut(&entry.2) {
+                match self.states.get_mut(&entry.1) {
                     // Serviced by the overlapped pricing, or retired
                     // (entry already erased): the snapshot row is dead.
                     Some(ShapleyBid::Committed) | None => continue,
@@ -820,44 +705,21 @@ impl Solver {
                 let entry = fresh[j];
                 j += 1;
                 debug_assert!(
-                    !self.states.contains_key(&entry.2),
+                    !self.states.contains_key(&entry.1),
                     "fresh arrival {} already tracked",
-                    entry.2
+                    entry.1
                 );
-                self.states.insert(entry.2, ShapleyBid::Value(entry.0));
+                self.states.insert(entry.1, ShapleyBid::Value(entry.0));
                 entry
             };
-            debug_assert_eq!(
-                lane,
-                lane_of(value),
-                "pipeline batch lane drifted from value"
-            );
             debug_assert!(
                 prev.is_none_or(|p| p > (value, user)),
                 "pipeline runs must be strictly descending by (value, user)"
             );
             prev = Some((value, user));
-            if lane == OFF_GRID {
-                self.off_grid += 1;
-            }
             self.values.push(value);
-            self.lanes.push(lane);
             self.users.push(user);
         }
-    }
-
-    /// The exact-arithmetic `chosen_k` scan over the `values` column —
-    /// [`run`]'s loop, and the fallback whenever the lane fast path is
-    /// unavailable.
-    fn scan_exact(&self) -> usize {
-        let c = self.committed_len;
-        let finite = &self.values[c..];
-        for k in (1..=finite.len()).rev() {
-            if finite[k - 1] * (c + k) >= self.cost {
-                return k;
-            }
-        }
-        0
     }
 
     /// Runs the mechanism over the current bids: the largest `k` such
@@ -865,25 +727,14 @@ impl Solver {
     ///
     /// Allocation-free; the affordability test is the cross-multiplied
     /// `b_k · (c + k) ≥ C`, avoiding a division per candidate `k`.
-    /// Under [`Engine::Columnar`], when every finite bid and the cost
-    /// lie on the micro grid and no product can overflow, the scan runs
-    /// through [`osp_econ::column::max_affordable_k`] over the flat
-    /// `i64` lane column (cross-multiplying by `10^6` on both sides
-    /// keeps the test exact); otherwise it falls back to the identical
-    /// exact scan over the `values` column.
     #[must_use]
     pub fn solve(&self) -> Solution {
         let c = self.committed_len;
-        let finite_lanes = &self.lanes[c..];
-        let chosen_k = if self.columnar
-            && self.off_grid == 0
-            && self.cost_lane != OFF_GRID
-            && osp_econ::column::scan_products_fit_descending(finite_lanes, c)
-        {
-            osp_econ::column::max_affordable_k(finite_lanes, c, self.cost_lane)
-        } else {
-            self.scan_exact()
-        };
+        let finite = &self.values[c..];
+        let chosen_k = (1..=finite.len())
+            .rev()
+            .find(|&k| finite[k - 1] * (c + k) >= self.cost)
+            .unwrap_or(0);
         if chosen_k == 0 && c == 0 {
             Solution {
                 serviced_finite: 0,
@@ -911,11 +762,7 @@ impl Solver {
         debug_assert!(self.committed_len + k <= self.users.len());
         for i in self.committed_len..self.committed_len + k {
             self.states.insert(self.users[i], ShapleyBid::Committed);
-            if self.lanes[i] == OFF_GRID {
-                self.off_grid -= 1;
-            }
             self.values[i] = Money::ZERO;
-            self.lanes[i] = 0;
         }
         self.committed_len += k;
     }
@@ -1141,29 +988,27 @@ mod tests {
 
     #[test]
     fn solver_remove_bids_matches_sequential_removes() {
-        for engine in [Engine::Incremental, Engine::Columnar, Engine::Pipelined] {
-            let mut batched = Solver::with_capacity_for(m(10), 0, engine).unwrap();
-            let mut sequential = batched.clone();
-            for u in 0..12u32 {
-                let v = Money::from_cents(i64::from(u % 5) * 37 + 1);
-                batched.update_bid(UserId(u), v);
-                sequential.update_bid(UserId(u), v);
-            }
-            batched.commit(UserId(11));
-            sequential.commit(UserId(11));
-            // Mix of present, absent, and duplicate-value users; absent
-            // users are skipped, same as `remove` returning false.
-            let gone = [UserId(3), UserId(8), UserId(0), UserId(99), UserId(5)];
-            batched.remove_bids(gone);
-            for u in gone {
-                sequential.remove(u);
-            }
-            assert_eq!(batched.len(), sequential.len());
-            for u in 0..12u32 {
-                assert_eq!(batched.bid(UserId(u)), sequential.bid(UserId(u)));
-            }
-            assert_eq!(batched.solve(), sequential.solve());
+        let mut batched = Solver::new(m(10)).unwrap();
+        let mut sequential = batched.clone();
+        for u in 0..12u32 {
+            let v = Money::from_cents(i64::from(u % 5) * 37 + 1);
+            batched.update_bid(UserId(u), v);
+            sequential.update_bid(UserId(u), v);
         }
+        batched.commit(UserId(11));
+        sequential.commit(UserId(11));
+        // Mix of present, absent, and duplicate-value users; absent
+        // users are skipped, same as `remove` returning false.
+        let gone = [UserId(3), UserId(8), UserId(0), UserId(99), UserId(5)];
+        batched.remove_bids(gone);
+        for u in gone {
+            sequential.remove(u);
+        }
+        assert_eq!(batched.len(), sequential.len());
+        for u in 0..12u32 {
+            assert_eq!(batched.bid(UserId(u)), sequential.bid(UserId(u)));
+        }
+        assert_eq!(batched.solve(), sequential.solve());
     }
 
     #[test]
@@ -1172,6 +1017,18 @@ mod tests {
         let mut solver = Solver::new(m(10)).unwrap();
         solver.commit(UserId(3));
         solver.remove_bids([UserId(3)]);
+    }
+
+    #[test]
+    fn engine_names_round_trip() {
+        for engine in Engine::ALL {
+            assert_eq!(engine.name().parse::<Engine>(), Ok(engine));
+        }
+        let err = "columnar".parse::<Engine>().unwrap_err();
+        assert_eq!(
+            err,
+            "unknown engine `columnar` (expected one of: incremental, rebuild, pipelined)"
+        );
     }
 
     /// One random solver operation.
@@ -1258,28 +1115,24 @@ mod tests {
             batch in proptest::collection::btree_map(0u32..12, 0i64..200, 0..12),
         ) {
             let cost = Money::from_cents(cost);
-            for engine in [Engine::Incremental, Engine::Columnar, Engine::Pipelined] {
-                let mut batched = Solver::with_capacity_for(cost, 0, engine).unwrap();
-                for &(u, v) in &initial {
-                    batched.update_bid(UserId(u), Money::from_cents(v));
-                }
-                for &u in &commits {
-                    batched.commit(UserId(u));
-                }
-                let mut sequential = batched.clone();
-                batched.update_bids(
-                    batch.iter().map(|(&u, &v)| (UserId(u), Money::from_cents(v))),
-                );
-                for (&u, &v) in &batch {
-                    sequential.update_bid(UserId(u), Money::from_cents(v));
-                }
-                prop_assert_eq!(&batched.values, &sequential.values);
-                prop_assert_eq!(&batched.lanes, &sequential.lanes);
-                prop_assert_eq!(&batched.users, &sequential.users);
-                prop_assert_eq!(&batched.states, &sequential.states);
-                prop_assert_eq!(batched.committed_len, sequential.committed_len);
-                prop_assert_eq!(batched.off_grid, sequential.off_grid);
+            let mut batched = Solver::new(cost).unwrap();
+            for &(u, v) in &initial {
+                batched.update_bid(UserId(u), Money::from_cents(v));
             }
+            for &u in &commits {
+                batched.commit(UserId(u));
+            }
+            let mut sequential = batched.clone();
+            batched.update_bids(
+                batch.iter().map(|(&u, &v)| (UserId(u), Money::from_cents(v))),
+            );
+            for (&u, &v) in &batch {
+                sequential.update_bid(UserId(u), Money::from_cents(v));
+            }
+            prop_assert_eq!(&batched.values, &sequential.values);
+            prop_assert_eq!(&batched.users, &sequential.users);
+            prop_assert_eq!(&batched.states, &sequential.states);
+            prop_assert_eq!(batched.committed_len, sequential.committed_len);
         }
 
         /// Under arbitrary update/commit/remove/commit-top
@@ -1292,62 +1145,59 @@ mod tests {
             ops in arb_solver_ops(),
         ) {
             let cost = Money::from_cents(cost);
-            for engine in [Engine::Incremental, Engine::Columnar, Engine::Pipelined] {
-                let mut solver = Solver::with_capacity_for(cost, 0, engine).unwrap();
-                let mut model: BTreeMap<UserId, ShapleyBid> = BTreeMap::new();
-                for op in ops.clone() {
-                    match op {
-                        SolverOp::Update(u, v) => {
-                            let user = UserId(u);
-                            let value = Money::from_cents(v);
-                            solver.update_bid(user, value);
-                            // Committed users ignore updates, like the map
-                            // the online mechanisms would feed `run`.
-                            if model.get(&user) != Some(&ShapleyBid::Committed) {
-                                model.insert(user, ShapleyBid::Value(value));
-                            }
-                        }
-                        SolverOp::Commit(u) => {
-                            solver.commit(UserId(u));
-                            model.insert(UserId(u), ShapleyBid::Committed);
-                        }
-                        SolverOp::Remove(u) => {
-                            let user = UserId(u);
-                            if model.get(&user) == Some(&ShapleyBid::Committed) {
-                                continue; // removal of committed users is forbidden
-                            }
-                            prop_assert_eq!(solver.remove(user), model.remove(&user).is_some());
-                        }
-                        SolverOp::SolveAndCommitTop => {
-                            let sol = solver.solve();
-                            let newly: Vec<UserId> =
-                                solver.serviced_finite(&sol).to_vec();
-                            solver.commit_top(sol.serviced_finite);
-                            for u in newly {
-                                model.insert(u, ShapleyBid::Committed);
-                            }
+            let mut solver = Solver::new(cost).unwrap();
+            let mut model: BTreeMap<UserId, ShapleyBid> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    SolverOp::Update(u, v) => {
+                        let user = UserId(u);
+                        let value = Money::from_cents(v);
+                        solver.update_bid(user, value);
+                        // Committed users ignore updates, like the map
+                        // the online mechanisms would feed `run`.
+                        if model.get(&user) != Some(&ShapleyBid::Committed) {
+                            model.insert(user, ShapleyBid::Value(value));
                         }
                     }
-                    let expected = run(cost, &model);
-                    prop_assert_eq!(solver.outcome(&solver.solve()), expected);
-                    prop_assert_eq!(
-                        solver.committed_count(),
-                        model.values().filter(|b| matches!(b, ShapleyBid::Committed)).count()
-                    );
+                    SolverOp::Commit(u) => {
+                        solver.commit(UserId(u));
+                        model.insert(UserId(u), ShapleyBid::Committed);
+                    }
+                    SolverOp::Remove(u) => {
+                        let user = UserId(u);
+                        if model.get(&user) == Some(&ShapleyBid::Committed) {
+                            continue; // removal of committed users is forbidden
+                        }
+                        prop_assert_eq!(solver.remove(user), model.remove(&user).is_some());
+                    }
+                    SolverOp::SolveAndCommitTop => {
+                        let sol = solver.solve();
+                        let newly: Vec<UserId> =
+                            solver.serviced_finite(&sol).to_vec();
+                        solver.commit_top(sol.serviced_finite);
+                        for u in newly {
+                            model.insert(u, ShapleyBid::Committed);
+                        }
+                    }
                 }
+                let expected = run(cost, &model);
+                prop_assert_eq!(solver.outcome(&solver.solve()), expected);
+                prop_assert_eq!(
+                    solver.committed_count(),
+                    model.values().filter(|b| matches!(b, ShapleyBid::Committed)).count()
+                );
             }
         }
 
-        /// The columnar fast path survives off-grid values: bids that
-        /// leave the micro grid (thirds, sevenths) force the per-entry
-        /// exact fallback, and the outcome still matches `run` exactly.
+        /// Bids off every decimal grid (thirds, sevenths) keep the
+        /// solver exact: the outcome still matches `run` exactly.
         #[test]
-        fn columnar_solver_handles_off_grid_bids(
+        fn solver_handles_off_grid_bids(
             cost in 1i64..400,
             raw in proptest::collection::vec((0u32..12, 1i64..200, 1usize..8), 0..12),
         ) {
             let cost = Money::from_cents(cost);
-            let mut solver = Solver::with_capacity_for(cost, 0, Engine::Columnar).unwrap();
+            let mut solver = Solver::new(cost).unwrap();
             let mut model: BTreeMap<UserId, ShapleyBid> = BTreeMap::new();
             for (u, v, split) in raw {
                 // split > 1 usually leaves every 10^-k grid.

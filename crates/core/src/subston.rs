@@ -202,7 +202,7 @@ impl SubstOnState {
         crate::game::validate_costs(&costs)?;
         let solvers = costs
             .iter()
-            .map(|&c| Solver::with_capacity_for(c, 0, engine))
+            .map(|&c| Solver::new(c))
             .collect::<Result<_>>()?;
         Ok(SubstOnState {
             costs,
@@ -939,10 +939,8 @@ mod tests {
             for tiebreak in [TieBreak::LowestOptId, TieBreak::Random(seed)] {
                 let inc = run_with_engine(&game, tiebreak, Engine::Incremental).unwrap();
                 let reb = run_with_engine(&game, tiebreak, Engine::Rebuild).unwrap();
-                let col = run_with_engine(&game, tiebreak, Engine::Columnar).unwrap();
                 let pip = run_with_engine(&game, tiebreak, Engine::Pipelined).unwrap();
                 prop_assert_eq!(&inc, &reb);
-                prop_assert_eq!(&inc, &col);
                 prop_assert_eq!(&inc, &pip);
             }
         }
@@ -958,9 +956,6 @@ mod tests {
             let mut reb = SubstOnState::with_engine(
                 game.costs.clone(), game.horizon, TieBreak::LowestOptId, Engine::Rebuild,
             ).unwrap();
-            let mut col = SubstOnState::with_engine(
-                game.costs.clone(), game.horizon, TieBreak::LowestOptId, Engine::Columnar,
-            ).unwrap();
             let mut pip = SubstOnState::with_engine(
                 game.costs.clone(), game.horizon, TieBreak::LowestOptId, Engine::Pipelined,
             ).unwrap();
@@ -969,18 +964,15 @@ mod tests {
             for bid in &game.bids {
                 inc.submit(bid.clone()).unwrap();
                 reb.submit(bid.clone()).unwrap();
-                col.submit(bid.clone()).unwrap();
                 pip.submit(bid.clone()).unwrap();
             }
             for _ in 1..=game.horizon {
                 let step = inc.advance().unwrap();
                 prop_assert_eq!(&step, &reb.advance().unwrap());
-                prop_assert_eq!(&step, &col.advance().unwrap());
                 prop_assert_eq!(&step, &pip.advance().unwrap());
             }
             let done = inc.finish().unwrap();
             prop_assert_eq!(&done, &reb.finish().unwrap());
-            prop_assert_eq!(&done, &col.finish().unwrap());
             prop_assert_eq!(&done, &pip.finish().unwrap());
         }
     }

@@ -1,7 +1,7 @@
 //! Hot-path hash collections on a deterministic multiply-mix hasher.
 //!
 //! The mechanisms' per-slot loops are map-bound once the solver scans
-//! run over flat lanes: every pending user costs a handful of
+//! run over flat columns: every pending user costs a handful of
 //! `HashMap`/`HashSet` operations per slot (solver bid states, running
 //! residual index, bid series lookups, pending-set membership). The
 //! std default hasher (SipHash behind a random seed) spends more time

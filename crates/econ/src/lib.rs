@@ -9,10 +9,6 @@
 //!   the mechanisms hinge on users at the threshold `b_ij = C_j / |S_j|`
 //!   being classified correctly. Floating point cannot promise that.
 //! * [`Money`] — a currency amount backed by [`Ratio`].
-//! * [`CentColumn`] — flat `i64` fixed-point lanes (cents, micros) with
-//!   checked conversion from/to [`Money`] and the chunked sum/scan
-//!   kernels the solver hot loops vectorize over; off-grid values are
-//!   rejected, never rounded, so exactness survives the fast path.
 //! * [`UserId`], [`OptId`], [`SlotId`] — typed identifiers for the three
 //!   index sets of the paper (users `I`, optimizations `J`, time-slots
 //!   `T`; Table 1 of the paper).
@@ -35,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod column;
 pub mod fastmap;
 pub mod ids;
 pub mod ledger;
@@ -45,7 +40,6 @@ pub mod residual;
 pub mod schedule;
 pub mod valuation;
 
-pub use column::{CentColumn, ColumnError};
 pub use fastmap::{FastMap, FastSet};
 pub use ids::{OptId, SlotId, UserId};
 pub use ledger::{Ledger, Stats, UserStats};

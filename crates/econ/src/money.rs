@@ -72,8 +72,7 @@ impl Money {
     /// decimal grid, so `from_micros(1)` is the rational `1/1_000_000`
     /// dollar — not a float approximation. Workload generators sample
     /// uniform values on this grid so randomness stays exact end to
-    /// end, and `from_micros(to_micros(m).unwrap())` round-trips
-    /// bit-identically for every on-grid amount.
+    /// end.
     #[must_use]
     pub fn from_micros(m: i64) -> Self {
         Money(Ratio::new(i128::from(m), 1_000_000))
@@ -95,45 +94,6 @@ impl Money {
     #[must_use]
     pub fn to_f64(self) -> f64 {
         self.0.to_f64()
-    }
-
-    /// The amount in whole cents, when — and only when — it lies
-    /// exactly on the `10^-2` cent grid and fits an `i64`.
-    ///
-    /// `None` for any off-grid value (e.g. `$1/3`, or a micro-grid
-    /// value like `$0.123456` that is not a whole number of cents):
-    /// callers get an exact integer or nothing, never a rounded one.
-    ///
-    /// ```
-    /// use osp_econ::Money;
-    /// assert_eq!(Money::from_cents(231).to_cents(), Some(231));
-    /// assert_eq!(Money::from_dollars(1).split_among(3).to_cents(), None);
-    /// ```
-    #[must_use]
-    pub fn to_cents(self) -> Option<i64> {
-        self.to_grid(100)
-    }
-
-    /// The amount in whole micros (`10^-6` dollars), when it lies
-    /// exactly on the micro grid and fits an `i64`; `None` off-grid.
-    /// Exact inverse of [`Money::from_micros`] on that grid.
-    #[must_use]
-    pub fn to_micros(self) -> Option<i64> {
-        self.to_grid(1_000_000)
-    }
-
-    /// Exact fixed-point accessor: the amount in units of
-    /// `1/grid` dollars iff it lies on that grid and fits an `i64`.
-    fn to_grid(self, grid: i128) -> Option<i64> {
-        let den = self.0.denom();
-        // `denom() > 0` is a `Ratio` invariant, so `checked_rem` /
-        // `checked_div` only encode the divisibility test, not a
-        // division-by-zero hazard.
-        if grid.checked_rem(den)? != 0 {
-            return None;
-        }
-        let units = self.0.numer().checked_mul(grid.checked_div(den)?)?;
-        i64::try_from(units).ok()
     }
 
     /// `true` iff exactly zero.
@@ -158,9 +118,8 @@ impl Money {
     ///
     /// The result is the exact rational `self / count`, which can leave
     /// every decimal grid: `$1.split_among(3)` is exactly `1/3` dollar,
-    /// on no `10^-k` grid for any `k` (so [`Money::to_cents`] and
-    /// [`Money::to_micros`] return `None` for it). It always
-    /// reassembles exactly, though: `m.split_among(n) * n == m`.
+    /// on no `10^-k` grid for any `k`. It always reassembles exactly,
+    /// though: `m.split_among(n) * n == m`.
     ///
     /// # Panics
     /// Panics if `count == 0`.
@@ -394,35 +353,6 @@ mod tests {
     fn split_among_reassembles() {
         let c = Money::from_cents(231);
         assert_eq!(c.split_among(7) * 7, c);
-    }
-
-    #[test]
-    fn to_cents_is_exact_or_nothing() {
-        assert_eq!(Money::from_cents(231).to_cents(), Some(231));
-        assert_eq!(Money::from_cents(-50).to_cents(), Some(-50));
-        assert_eq!(Money::ZERO.to_cents(), Some(0));
-        assert_eq!(Money::from_dollars(7).to_cents(), Some(700));
-        // Coarser-than-cent grids are still on the cent grid.
-        assert_eq!(Money::from_ratio(Ratio::new(1, 4)).to_cents(), Some(25));
-        // Finer grids and non-decimal rationals are off-grid.
-        assert_eq!(Money::from_micros(123_456).to_cents(), None);
-        assert_eq!(Money::from_dollars(1).split_among(3).to_cents(), None);
-        // Magnitudes past i64 cents are rejected, never truncated.
-        let huge = Money::from_ratio(Ratio::new(i128::from(i64::MAX), 100)) * 200usize;
-        assert_eq!(huge.to_cents(), None);
-    }
-
-    #[test]
-    fn to_micros_round_trips_the_sampling_grid() {
-        for m in [-1_000_001i64, -1, 0, 1, 999_999, 123_457] {
-            assert_eq!(Money::from_micros(m).to_micros(), Some(m));
-        }
-        assert_eq!(Money::from_cents(231).to_micros(), Some(2_310_000));
-        assert_eq!(Money::from_dollars(1).split_among(3).to_micros(), None);
-        assert_eq!(
-            Money::from_ratio(Ratio::new(1, 10_000_000)).to_micros(),
-            None
-        );
     }
 
     #[test]

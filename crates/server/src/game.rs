@@ -187,22 +187,10 @@ impl Registry {
                 ),
             );
         }
-        let engine = match engine {
+        let engine = match engine.map(str::parse::<Engine>) {
             None => self.engine,
-            Some("incremental") => Engine::Incremental,
-            Some("rebuild") => Engine::Rebuild,
-            Some("columnar") => Engine::Columnar,
-            Some("pipelined") => Engine::Pipelined,
-            Some(other) => {
-                return Response::error(
-                    id,
-                    "bad_create",
-                    format!(
-                        "unknown engine {other:?} (expected incremental, rebuild, \
-                         columnar, or pipelined)"
-                    ),
-                )
-            }
+            Some(Ok(engine)) => engine,
+            Some(Err(msg)) => return Response::error(id, "bad_create", msg),
         };
         let costs = match parse_all_money(costs) {
             Ok(costs) => costs,

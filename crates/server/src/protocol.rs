@@ -85,9 +85,9 @@ pub enum Op {
         /// Per-optimization costs as decimal strings (exactly one for
         /// the additive mechanisms).
         costs: Vec<String>,
-        /// Shapley engine override: `"incremental"`, `"rebuild"`,
-        /// `"columnar"`, or `"pipelined"` (defaults to the server's
-        /// engine).
+        /// Shapley engine override: an `Engine::name`
+        /// (`"incremental"`, `"rebuild"`, or `"pipelined"`; defaults
+        /// to the server's engine).
         #[serde(default)]
         engine: Option<String>,
         /// Substitutable tie-break seed; omitted means the

@@ -3,6 +3,7 @@
 //! with non-empty queues.
 
 use osp_core::prelude::Engine;
+use osp_server::game::{decode_snapshot, FinalOutcome, GameState};
 use osp_server::protocol::{GameId, Mechanism, Op, Reply, Request, Response, SnapshotDoc};
 use osp_server::ShardPool;
 
@@ -145,6 +146,28 @@ fn bad_creates_and_bad_amounts_are_rejected() {
         },
     ));
     assert_eq!(error_code_of(&bad_engine), "bad_create");
+    // The retired lane engine is an unknown name like any other, and
+    // the message lists the engines that exist.
+    let retired_engine = pool.call(req(
+        4,
+        Op::Create {
+            game: GameId(1),
+            mechanism: Mechanism::AddOn,
+            horizon: 2,
+            costs: vec!["10".into()],
+            engine: Some("columnar".into()),
+            seed: None,
+        },
+    ));
+    match retired_engine.reply {
+        Reply::Error { code, message } => {
+            assert_eq!(code, "bad_create");
+            for engine in Engine::ALL {
+                assert!(message.contains(engine.name()), "{message}");
+            }
+        }
+        other => panic!("expected bad_create, got {other:?}"),
+    }
     let bad_cost = pool.call(req(
         5,
         Op::Create {
@@ -170,7 +193,7 @@ fn bad_creates_and_bad_amounts_are_rejected() {
 #[test]
 fn every_engine_override_is_accepted_and_prices_identically() {
     let pool = pool();
-    let engines = ["incremental", "rebuild", "columnar", "pipelined"];
+    let engines: Vec<&str> = Engine::ALL.iter().map(|e| e.name()).collect();
     for (g, name) in engines.iter().enumerate() {
         let game = g as u64 + 1;
         assert!(
@@ -516,4 +539,123 @@ fn shutdown_with_non_empty_queues_drains_every_request() {
     assert_eq!(stats.iter().map(|s| s.events).sum::<u64>(), id);
     assert_eq!(stats.iter().map(|s| s.games).sum::<u64>(), 60);
     assert!(stats.iter().all(|s| s.queue_depth == 0));
+}
+
+/// Games captured by a server whose Shapley solver still kept i64 lane
+/// columns: each entry holds the requests that built the game and the
+/// `snapshot` document that server answered. The solver states in
+/// those documents carry `cost_lane`/`lanes`/`off_grid`/`columnar`
+/// keys the current solver no longer has. `addon` and `subston` are
+/// mid-game default-engine games; `columnar` was created with the
+/// retired `"engine": "columnar"`.
+const LANE_ERA_SNAPSHOTS: &str = include_str!("fixtures/snapshots_with_lane_columns.json");
+
+#[derive(serde::Deserialize)]
+struct CapturedGame {
+    requests: Vec<Request>,
+    snapshot: SnapshotDoc,
+}
+
+#[derive(serde::Deserialize)]
+struct LaneEraSnapshots {
+    addon: CapturedGame,
+    subston: CapturedGame,
+    columnar: CapturedGame,
+}
+
+fn lane_era_snapshots() -> LaneEraSnapshots {
+    serde_json::from_str(LANE_ERA_SNAPSHOTS).expect("fixture parses")
+}
+
+fn final_outcome(doc: &SnapshotDoc) -> FinalOutcome {
+    match decode_snapshot(doc).expect("snapshot decodes") {
+        GameState::Add(state) => FinalOutcome::Add(state.finish().expect("add game finishes")),
+        GameState::Subst(state) => {
+            FinalOutcome::Subst(state.finish().expect("subst game finishes"))
+        }
+    }
+}
+
+#[test]
+fn snapshots_with_lane_columns_decode_and_finish_like_a_fresh_replay() {
+    let captured = lane_era_snapshots();
+    for (name, game) in [("addon", &captured.addon), ("subston", &captured.subston)] {
+        let doc_text = serde_json::to_string(&game.snapshot).unwrap();
+        assert!(
+            doc_text.contains("\"cost_lane\"") && doc_text.contains("\"lanes\""),
+            "{name}: fixture should predate the lane removal"
+        );
+        let pool = pool();
+        for request in &game.requests {
+            let response = pool.call(request.clone());
+            assert!(
+                !matches!(response.reply, Reply::Error { .. }),
+                "{name}: {response:?}"
+            );
+        }
+        let id = game.requests[0].op.game().expect("game-addressed");
+        let fresh = match pool.call(req(900, Op::Snapshot { game: id })).reply {
+            Reply::Snapshot { doc, .. } => doc,
+            other => panic!("{name}: expected a snapshot, got {other:?}"),
+        };
+        assert_eq!(
+            final_outcome(&game.snapshot),
+            final_outcome(&fresh),
+            "{name}"
+        );
+        // The old document also restores onto the live server.
+        let restored = pool.call(req(
+            901,
+            Op::Restore {
+                game: GameId(77),
+                doc: game.snapshot.clone(),
+            },
+        ));
+        assert!(
+            matches!(restored.reply, Reply::Restored { .. }),
+            "{name}: {restored:?}"
+        );
+        let _ = pool.shutdown();
+    }
+}
+
+#[test]
+fn restoring_a_columnar_engine_snapshot_is_a_bad_snapshot() {
+    let captured = lane_era_snapshots();
+    let doc = captured.columnar.snapshot;
+    assert_eq!(doc.addon[0]["engine"], "Columnar");
+    let pool = pool();
+    let refused = pool.call(req(
+        1,
+        Op::Restore {
+            game: GameId(5),
+            doc,
+        },
+    ));
+    assert_eq!(error_code_of(&refused), "bad_snapshot");
+    // The shard that refused it keeps serving.
+    assert!(matches!(
+        pool.call(create_addon(2, 5, 2)).reply,
+        Reply::Created { .. }
+    ));
+    assert!(matches!(
+        pool.call(arrive(3, 5, 0, 1, &["10"])).reply,
+        Reply::Submitted { .. }
+    ));
+    assert!(matches!(
+        pool.call(req(
+            4,
+            Op::Tick {
+                game: GameId(5),
+                slot: None
+            }
+        ))
+        .reply,
+        Reply::Slot { .. }
+    ));
+    // A create naming the retired engine is refused the same way.
+    let create = &captured.columnar.requests[0];
+    assert!(matches!(&create.op, Op::Create { engine: Some(e), .. } if e == "columnar"));
+    assert_eq!(error_code_of(&pool.call(create.clone())), "bad_create");
+    let _ = pool.shutdown();
 }

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use osp_core::prelude::Engine;
+use osp_core::prelude::{Engine, UserId};
 use osp_server::game::{decode_snapshot, FinalOutcome, GameState};
 use osp_server::protocol::{GameId, Mechanism, Op, Reply, Request, Response, SnapshotDoc};
 use osp_server::script::{self, ScriptConfig};
@@ -382,5 +382,74 @@ fn an_in_memory_pool_survives_a_panic_but_forfeits_the_shards_games() {
     let stats = pool.shutdown();
     assert_eq!(stats[0].recoveries, 1);
     assert_eq!(stats[0].games, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A logged request whose strings carry control characters — here an
+/// `arrive` whose `values` hold DEL (U+007F) and NEL (U+0085), which a
+/// client can send escaped — must replay like any other record. The
+/// log keeps the op before it is applied, so the WAL holds the
+/// decoded string; if the printer wrote those characters raw, the
+/// parser would reject the record on recovery, the scan would treat it
+/// as a torn tail, and the acknowledged `arrive` behind it would be
+/// lost.
+#[test]
+fn a_logged_control_character_does_not_cost_the_records_behind_it() {
+    let dir = temp_dir("control-chars");
+    let arrive = |id, user, values: &[&str]| Request {
+        id,
+        op: Op::Arrive {
+            game: GameId(1),
+            user,
+            start: 1,
+            values: values.iter().map(|v| (*v).to_string()).collect(),
+            substitutes: Vec::new(),
+        },
+    };
+    let requests = vec![
+        Request {
+            id: 1,
+            op: Op::Create {
+                game: GameId(1),
+                mechanism: Mechanism::AddOn,
+                horizon: 2,
+                costs: vec!["3.00".into()],
+                engine: None,
+                seed: None,
+            },
+        },
+        arrive(2, 0, &["1.00\u{7f}", "1.00\u{85}"]),
+        arrive(3, 1, &["5.00", "1.00"]),
+        Request {
+            id: 4,
+            op: Op::Tick {
+                game: GameId(1),
+                slot: None,
+            },
+        },
+    ];
+    let oracle = script::oracle(&requests, Engine::Rebuild, 1);
+    assert!(is_code(&oracle.responses[1], "bad_money"));
+    assert!(matches!(oracle.responses[2].reply, Reply::Submitted { .. }));
+
+    // First life: create, the control-character arrive (rejected, but
+    // logged), and the acknowledged arrive behind it.
+    let pool = durable_pool(&dir, 1, 0, None);
+    let (first, _) = drive_with_retry(&pool, &requests[..3]);
+    assert_matches_oracle(&first, &oracle.responses[..3]);
+    let _ = pool.shutdown();
+
+    // Second life: both logged arrives replay, so user 1 is there to
+    // be serviced when the slot is priced.
+    let reopened = durable_pool(&dir, 1, 0, None);
+    let (second, _) = drive_with_retry(&reopened, &requests[3..]);
+    assert_matches_oracle(&second, &oracle.responses[3..]);
+    match &second[0].0.reply {
+        Reply::Slot { report, .. } => {
+            assert_eq!(report.newly_serviced, [UserId(1)].into());
+        }
+        other => panic!("expected a slot reply, got {other:?}"),
+    }
+    let _ = reopened.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

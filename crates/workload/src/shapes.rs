@@ -77,7 +77,7 @@ impl TraceSource for Uniform {
         true
     }
 
-    fn bench_columnar(&self) -> bool {
+    fn bench_pipelined(&self) -> bool {
         true
     }
 }
@@ -124,10 +124,9 @@ impl TraceSource for LongLived {
         }
     }
 
-    // Off-grid per-slot values (see `wire_safe`), so the columnar
-    // engine runs its per-entry exact fallback here — measured to
-    // prove the fallback does not regress the off-grid workloads.
-    fn bench_columnar(&self) -> bool {
+    // Long-lived pending tails are where the pipelined engine's
+    // overlapped ingest pays off, so it is measured here.
+    fn bench_pipelined(&self) -> bool {
         true
     }
 }
@@ -229,7 +228,7 @@ impl TraceSource for ZipfValues {
         normalize_additive(scenario, Vec::new())
     }
 
-    fn bench_columnar(&self) -> bool {
+    fn bench_pipelined(&self) -> bool {
         true
     }
 }

@@ -6,12 +6,12 @@
 //! for churny shapes mid-game revisions). Registering a source here
 //! lights it up everywhere at once:
 //!
-//! * `osp_bench::perf` measures every registered source under both
-//!   Shapley engines and records it as a `workload` axis value in
+//! * `osp_bench::perf` measures every registered source under the
+//!   incremental and rebuild Shapley engines and records it as a `workload` axis value in
 //!   `BENCH_mechanisms.json`;
 //! * the differential oracle harness (`osp_bench::differential` +
 //!   `tests/differential.rs`) replays every registered source through
-//!   the Incremental, Rebuild, and Columnar engines slot by slot;
+//!   every [`Engine`](osp_core::shapley::Engine) slot by slot;
 //! * `osp_bench::server_load` turns sources into wire-protocol traces
 //!   for the sharded server;
 //! * `osp workloads` and `bench_json --list-workloads` list them.
@@ -217,10 +217,10 @@ pub trait TraceSource: Sync {
         false
     }
 
-    /// `true` when the perf suite should also measure the columnar
-    /// lane engine on this source (the headline hot-loop workloads;
-    /// the differential oracle covers *every* source regardless).
-    fn bench_columnar(&self) -> bool {
+    /// `true` when the perf suite should also measure the pipelined
+    /// engine on this source (the headline hot-loop workloads; the
+    /// differential oracle covers *every* source regardless).
+    fn bench_pipelined(&self) -> bool {
         false
     }
 }
@@ -340,12 +340,7 @@ mod tests {
     fn play_rejects_nothing_on_every_registered_source() {
         for source in registry() {
             let trace = source.sample(12, 7);
-            for engine in [
-                Engine::Incremental,
-                Engine::Rebuild,
-                Engine::Columnar,
-                Engine::Pipelined,
-            ] {
+            for engine in Engine::ALL {
                 trace
                     .play(engine, TieBreak::LowestOptId)
                     .unwrap_or_else(|e| panic!("{}: {e}", source.name()));

@@ -1,6 +1,7 @@
 //! The standing differential oracle: randomized long-horizon games
-//! through the Incremental, Rebuild, and Columnar engines must agree
-//! slot by slot on grants, prices, payments, and final ledger totals.
+//! through every engine (the pipelined one also with a forced fork)
+//! must agree slot by slot on grants, prices, payments, and final
+//! ledger totals.
 //!
 //! The game scripts live in [`osp_bench::differential`]; this wrapper
 //! drives them under proptest. Each proptest case runs
